@@ -21,7 +21,7 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use temspc::{CalibrationConfig, DualMspc, Scenario, ScenarioKind};
-use temspc_fleet::{ModelStore, StoreConfig};
+use temspc_fleet::{ModelStore, Models, StoreConfig};
 use temspc_ingest::{drive, DriveConfig, IngestConfig, IngestReport, IngestServer};
 
 /// Configuration of one connections × rates ingestion sweep.
@@ -189,13 +189,6 @@ fn sweep_monitor() -> DualMspc {
     DualMspc::calibrate(&sweep_calibration()).expect("ingest sweep calibration")
 }
 
-/// Where each cell's connections resolve their monitor from. Both
-/// variants box their payload to keep the enum small and even-sized.
-enum SweepModels {
-    Shared(Box<DualMspc>),
-    Store(Box<ModelStore>, usize),
-}
-
 /// Records one capture tape for the sweep and persists it where
 /// [`drive`] can read it. The tape is deterministic (fixed seed), so
 /// every cell replays identical traffic.
@@ -210,7 +203,7 @@ fn sweep_tape(hours: f64) -> PathBuf {
 /// Runs one cell: bind, serve on a background thread until every driven
 /// connection reports, and time the whole exchange.
 fn run_cell(
-    models: &SweepModels,
+    models: Models<'_>,
     config: &IngestSweepConfig,
     tape: &Path,
     connections: usize,
@@ -225,13 +218,7 @@ fn run_cell(
         expect: Some(connections),
         incidents: None,
     };
-    let server = match models {
-        SweepModels::Shared(monitor) => IngestServer::bind(monitor, server_config),
-        SweepModels::Store(store, cohorts) => {
-            IngestServer::bind_with_store(store, *cohorts, server_config)
-        }
-    }
-    .expect("ingest sweep bind");
+    let server = IngestServer::bind_models(models, server_config).expect("ingest sweep bind");
     let addr = server.local_addr().expect("ingest sweep local_addr");
     // `expect` ends the serve loop once every connection finalizes; the
     // stop flag is only the error path.
@@ -256,10 +243,7 @@ fn run_cell(
     IngestSweepCell {
         connections,
         rate,
-        cohorts: match models {
-            SweepModels::Shared(_) => 0,
-            SweepModels::Store(_, cohorts) => *cohorts,
-        },
+        cohorts: config.cohorts,
         frames: report.frames,
         steps: report.steps,
         drops: report.drops,
@@ -277,11 +261,16 @@ fn run_cell(
 pub fn run_ingest_sweep(config: &IngestSweepConfig) -> IngestSweepReport {
     let store_dir =
         std::env::temp_dir().join(format!("temspc_bench_ingest_store_{}", std::process::id()));
+    let (store, monitor);
     let models = if config.cohorts > 0 {
-        let store_config = StoreConfig::new(&store_dir, sweep_calibration());
-        SweepModels::Store(Box::new(ModelStore::new(store_config)), config.cohorts)
+        store = ModelStore::new(StoreConfig::new(&store_dir, sweep_calibration()));
+        Models::Store {
+            store: &store,
+            cohorts: config.cohorts,
+        }
     } else {
-        SweepModels::Shared(Box::new(sweep_monitor()))
+        monitor = sweep_monitor();
+        Models::Fixed(&monitor)
     };
     let tape = sweep_tape(config.tape_hours);
     let available_parallelism = std::thread::available_parallelism()
@@ -291,7 +280,7 @@ pub fn run_ingest_sweep(config: &IngestSweepConfig) -> IngestSweepReport {
     let mut cells = Vec::new();
     for &rate in &config.rates {
         for &connections in &config.connections {
-            cells.push(run_cell(&models, config, &tape, connections, rate));
+            cells.push(run_cell(models, config, &tape, connections, rate));
         }
     }
     let _ = std::fs::remove_file(&tape);

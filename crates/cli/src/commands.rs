@@ -403,7 +403,7 @@ pub fn replay(args: &ParsedArgs) -> CmdResult {
 /// `temspc fleet` — monitor many plants concurrently and print the
 /// aggregate confusion matrix.
 pub fn fleet(args: &ParsedArgs) -> CmdResult {
-    use temspc_fleet::{FleetConfig, FleetEngine, ModelStore, PlantSource};
+    use temspc_fleet::{FleetConfig, FleetEngine, PlantSource};
 
     let source = match args.get("replay") {
         Some(dir) => PlantSource::Replay(dir.to_string()),
@@ -434,52 +434,29 @@ pub fn fleet(args: &ParsedArgs) -> CmdResult {
         return Ok(());
     }
 
-    if let Some(dir) = args.get("model-store") {
-        if args.get("model").is_some() {
-            return Err("--model and --model-store are mutually exclusive".into());
-        }
-        println!(
-            "resolving per-plant monitors from model store {dir}/ ({} cohort(s)) ...",
-            config.cohorts
-        );
-        let store = ModelStore::new(store_config_from_args(args, dir)?);
-        let engine = FleetEngine::with_store(&store, config.clone());
-        return run_fleet(engine, args, &config, Some(&store));
-    }
-
-    let monitor = match args.get("model") {
-        Some(path) => {
+    let mut owners = (None, None);
+    let models = models_from_args(args, config.cohorts, &mut owners, || {
+        if let Some(path) = args.get("model") {
             println!("loading monitor from {path} ...");
-            load_monitor(path)?
+            return Ok(load_monitor(path)?);
         }
-        None => {
-            let runs: usize = args.get_parsed("calib-runs", 4)?;
-            let hours: f64 = args.get_parsed("calib-hours", 2.0)?;
-            println!("calibrating dual-level monitor on {runs} x {hours} h ...");
-            temspc_fleet::calibrate(
-                &CalibrationConfig {
-                    runs,
-                    duration_hours: hours,
-                    record_every: 10,
-                    base_seed: args.get_parsed("calib-seed", 1_000)?,
-                    threads: config.threads,
-                },
-                temspc::MonitorConfig::default(),
-            )?
-        }
-    };
-    let engine = FleetEngine::new(&monitor, config.clone());
-    run_fleet(engine, args, &config, None)
-}
+        let runs: usize = args.get_parsed("calib-runs", 4)?;
+        let hours: f64 = args.get_parsed("calib-hours", 2.0)?;
+        println!("calibrating dual-level monitor on {runs} x {hours} h ...");
+        let calibration = CalibrationConfig {
+            runs,
+            duration_hours: hours,
+            record_every: 10,
+            base_seed: args.get_parsed("calib-seed", 1_000)?,
+            threads: config.threads,
+        };
+        Ok(temspc_fleet::calibrate(
+            &calibration,
+            temspc::MonitorConfig::default(),
+        )?)
+    })?;
 
-/// Shared tail of `temspc fleet`: checkpoint wiring, the run itself, the
-/// report, and the metrics exposition (fleet + store when present).
-fn run_fleet(
-    mut engine: temspc_fleet::FleetEngine<'_>,
-    args: &ParsedArgs,
-    config: &temspc_fleet::FleetConfig,
-    store: Option<&temspc_fleet::ModelStore>,
-) -> CmdResult {
+    let mut engine = FleetEngine::with_models(models, config.clone());
     if let Some(path) = args.get("checkpoint") {
         if std::path::Path::new(path).exists() && !args.flag("resume") {
             return Err(format!(
@@ -512,12 +489,48 @@ fn run_fleet(
         }
         Err(e) => return Err(e.into()),
     }
+    write_metrics(args, engine.metrics(), engine.models())
+}
+
+/// The `--model` / `--model-store` choice shared by `fleet` and `ingest
+/// serve`: a store over `--model-store` with `cohorts` cohorts, or the
+/// monitor `fixed` loads. `owners` keeps whichever was built alive.
+fn models_from_args<'a>(
+    args: &ParsedArgs,
+    cohorts: usize,
+    owners: &'a mut (Option<temspc_fleet::ModelStore>, Option<temspc::DualMspc>),
+    fixed: impl FnOnce() -> Result<temspc::DualMspc, Box<dyn Error>>,
+) -> Result<temspc_fleet::Models<'a>, Box<dyn Error>> {
+    let Some(dir) = args.get("model-store") else {
+        return Ok(temspc_fleet::Models::Fixed(owners.1.insert(fixed()?)));
+    };
+    if args.get("model").is_some() {
+        return Err("--model and --model-store are mutually exclusive".into());
+    }
+    if cohorts == 0 {
+        return Err("--cohorts must be at least 1".into());
+    }
+    println!("resolving per-plant monitors from model store {dir}/ ({cohorts} cohort(s)) ...");
+    let config = store_config_from_args(args, dir)?;
+    let store = owners.0.insert(temspc_fleet::ModelStore::new(config));
+    Ok(temspc_fleet::Models::Store { store, cohorts })
+}
+
+/// Writes the `--metrics` exposition, if asked for: the engine's or
+/// server's own registry, then the store's when models come from one.
+/// The file is replaced atomically, so a signal mid-write never leaves a
+/// torn exposition behind.
+fn write_metrics(
+    args: &ParsedArgs,
+    registry: &temspc_fleet::MetricsRegistry,
+    models: &temspc_fleet::Models<'_>,
+) -> CmdResult {
     if let Some(path) = args.get("metrics") {
-        let mut text = engine.metrics().expose();
-        if let Some(store) = store {
+        let mut text = registry.expose();
+        if let temspc_fleet::Models::Store { store, .. } = models {
             text.push_str(&store.metrics().expose());
         }
-        std::fs::write(path, text)?;
+        temspc_persist::write_atomic(path, text.as_bytes())?;
         println!("wrote {path}");
     }
     Ok(())
@@ -755,35 +768,13 @@ fn ingest_drive_config(args: &ParsedArgs) -> Result<temspc_ingest::DriveConfig, 
 /// through the sharded store instead of sharing one `--model`.
 fn ingest_serve(args: &ParsedArgs) -> CmdResult {
     let config = ingest_serve_config(args)?;
+    let mut owners = (None, None);
+    let cohorts = args.get_parsed("cohorts", 1)?;
+    let models = models_from_args(args, cohorts, &mut owners, || {
+        Ok(load_monitor(args.require("model")?)?)
+    })?;
+    let server = temspc_ingest::IngestServer::bind_models(models, config)?;
 
-    if let Some(dir) = args.get("model-store") {
-        if args.get("model").is_some() {
-            return Err("--model and --model-store are mutually exclusive".into());
-        }
-        let cohorts: usize = args.get_parsed("cohorts", 1)?;
-        if cohorts == 0 {
-            return Err("--cohorts must be at least 1".into());
-        }
-        println!("resolving per-plant monitors from model store {dir}/ ({cohorts} cohort(s)) ...");
-        let store = temspc_fleet::ModelStore::new(store_config_from_args(args, dir)?);
-        let server = temspc_ingest::IngestServer::bind_with_store(&store, cohorts, config)?;
-        return run_ingest_serve(server, args, Some(&store));
-    }
-
-    let model_path = args.require("model")?;
-    let monitor = load_monitor(model_path)?;
-    let server = temspc_ingest::IngestServer::bind(&monitor, config)?;
-    run_ingest_serve(server, args, None)
-}
-
-/// Shared tail of `temspc ingest serve`: the serve loop, the
-/// per-connection table, the session report, and metrics exposition
-/// (ingest + store when present).
-fn run_ingest_serve(
-    server: temspc_ingest::IngestServer<'_>,
-    args: &ParsedArgs,
-    store: Option<&temspc_fleet::ModelStore>,
-) -> CmdResult {
     let report_path = args.get_or("report", "ingest_session.tpb").to_string();
     println!("listening on {}", server.local_addr()?);
     if let Some(path) = &server.config().incidents {
@@ -824,15 +815,7 @@ fn run_ingest_serve(
     );
     temspc_ingest::save_report(&report, &report_path)?;
     println!("wrote {report_path}");
-    if let Some(path) = args.get("metrics") {
-        let mut text = server.metrics().expose();
-        if let Some(store) = store {
-            text.push_str(&store.metrics().expose());
-        }
-        std::fs::write(path, text)?;
-        println!("wrote {path}");
-    }
-    Ok(())
+    write_metrics(args, server.metrics(), server.models())
 }
 
 /// `temspc ingest drive` — replay capture tapes over real TCP sockets as

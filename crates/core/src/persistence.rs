@@ -1,20 +1,21 @@
-//! Saving and loading calibrated monitors.
+//! Saving and loading calibrated monitors and scenario captures.
 //!
 //! Calibrating at paper scale costs minutes of simulated plant time; a
 //! deployed detector should calibrate once and reload the frozen models.
-//! Files use the TPB format of [`temspc_persist`] with a short magic
-//! header for fail-fast version checks.
+//! Files are framed TPB ([`temspc_persist::save_framed`]): a magic
+//! header for fail-fast kind and version checks, then the payload.
 
-use std::io;
 use std::path::Path;
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use temspc_persist::{load_framed, save_framed};
 
 use crate::capture::ScenarioCapture;
 use crate::monitor::DualMspc;
 use crate::netmon::NetworkMonitor;
-use temspc_persist::PersistError;
+
+/// Errors from monitor and capture persistence: I/O, a foreign or torn
+/// header, or a bad payload.
+pub use temspc_persist::FramedError as PersistenceError;
 
 /// File magic + format version for calibrated monitors.
 const MAGIC: &[u8; 8] = b"TEMSPC\x01\x00";
@@ -22,75 +23,13 @@ const MAGIC: &[u8; 8] = b"TEMSPC\x01\x00";
 /// File magic + format version for scenario captures.
 const CAPTURE_MAGIC: &[u8; 8] = b"TECAP\x01\x00\x00";
 
-/// Errors from monitor persistence.
-#[derive(Debug)]
-pub enum PersistenceError {
-    /// Filesystem failure.
-    Io(io::Error),
-    /// Encoding/decoding failure.
-    Format(PersistError),
-    /// The file does not start with the expected magic/version header.
-    BadHeader,
-}
-
-impl std::fmt::Display for PersistenceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistenceError::Io(e) => write!(f, "i/o failure: {e}"),
-            PersistenceError::Format(e) => write!(f, "format failure: {e}"),
-            PersistenceError::BadHeader => write!(f, "not a temspc model file (bad header)"),
-        }
-    }
-}
-
-impl std::error::Error for PersistenceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PersistenceError::Io(e) => Some(e),
-            PersistenceError::Format(e) => Some(e),
-            PersistenceError::BadHeader => None,
-        }
-    }
-}
-
-impl From<io::Error> for PersistenceError {
-    fn from(e: io::Error) -> Self {
-        PersistenceError::Io(e)
-    }
-}
-
-impl From<PersistError> for PersistenceError {
-    fn from(e: PersistError) -> Self {
-        PersistenceError::Format(e)
-    }
-}
-
-fn save<T: Serialize>(value: &T, path: &Path, magic: &[u8; 8]) -> Result<(), PersistenceError> {
-    let mut bytes = Vec::with_capacity(1024);
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&temspc_persist::to_bytes(value)?);
-    // Atomic temp-file + rename: a crash mid-save leaves the previous
-    // file (or nothing) behind, never a torn `.tpb`/`.cap` that would
-    // later fail as `Format` instead of simply not existing.
-    temspc_persist::write_atomic(path, &bytes)?;
-    Ok(())
-}
-
-fn load<T: DeserializeOwned>(path: &Path, magic: &[u8; 8]) -> Result<T, PersistenceError> {
-    let bytes = std::fs::read(path)?;
-    let payload = bytes
-        .strip_prefix(magic.as_slice())
-        .ok_or(PersistenceError::BadHeader)?;
-    Ok(temspc_persist::from_bytes(payload)?)
-}
-
 /// Saves a calibrated dual-level monitor to `path`.
 ///
 /// # Errors
 ///
 /// Returns [`PersistenceError`] on I/O or encoding failures.
 pub fn save_monitor(monitor: &DualMspc, path: impl AsRef<Path>) -> Result<(), PersistenceError> {
-    save(monitor, path.as_ref(), MAGIC)
+    save_framed(path, MAGIC, None, monitor)
 }
 
 /// Loads a dual-level monitor saved with [`save_monitor`].
@@ -99,7 +38,7 @@ pub fn save_monitor(monitor: &DualMspc, path: impl AsRef<Path>) -> Result<(), Pe
 ///
 /// Returns [`PersistenceError`] on I/O, header or decoding failures.
 pub fn load_monitor(path: impl AsRef<Path>) -> Result<DualMspc, PersistenceError> {
-    load(path.as_ref(), MAGIC)
+    load_framed(path, MAGIC)
 }
 
 /// Saves a calibrated network-level monitor to `path`.
@@ -111,7 +50,7 @@ pub fn save_network_monitor(
     monitor: &NetworkMonitor,
     path: impl AsRef<Path>,
 ) -> Result<(), PersistenceError> {
-    save(monitor, path.as_ref(), MAGIC)
+    save_framed(path, MAGIC, None, monitor)
 }
 
 /// Loads a network-level monitor saved with [`save_network_monitor`].
@@ -120,7 +59,7 @@ pub fn save_network_monitor(
 ///
 /// Returns [`PersistenceError`] on I/O, header or decoding failures.
 pub fn load_network_monitor(path: impl AsRef<Path>) -> Result<NetworkMonitor, PersistenceError> {
-    load(path.as_ref(), MAGIC)
+    load_framed(path, MAGIC)
 }
 
 /// Saves a recorded scenario capture to `path` (a `.cap` wire tape).
@@ -135,7 +74,7 @@ pub fn save_capture(
     capture: &ScenarioCapture,
     path: impl AsRef<Path>,
 ) -> Result<(), PersistenceError> {
-    save(capture, path.as_ref(), CAPTURE_MAGIC)
+    save_framed(path, CAPTURE_MAGIC, None, capture)
 }
 
 /// Loads a scenario capture saved with [`save_capture`].
@@ -144,7 +83,7 @@ pub fn save_capture(
 ///
 /// Returns [`PersistenceError`] on I/O, header or decoding failures.
 pub fn load_capture(path: impl AsRef<Path>) -> Result<ScenarioCapture, PersistenceError> {
-    load(path.as_ref(), CAPTURE_MAGIC)
+    load_framed(path, CAPTURE_MAGIC)
 }
 
 #[cfg(test)]
@@ -152,9 +91,11 @@ mod tests {
     use super::*;
     use crate::calibration::CalibrationConfig;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// Per-test directory: tests run in parallel, so cleanup of a shared
+    /// directory would race with a sibling's save/load.
+    fn tmp(test: &str, name: &str) -> std::path::PathBuf {
         std::env::temp_dir()
-            .join("temspc_persistence_test")
+            .join(format!("temspc_persistence_{test}_{}", std::process::id()))
             .join(name)
     }
 
@@ -168,7 +109,7 @@ mod tests {
             threads: 0,
         };
         let monitor = DualMspc::calibrate(&cfg).unwrap();
-        let path = tmp("dual.tpb");
+        let path = tmp("monitor", "dual.tpb");
         save_monitor(&monitor, &path).unwrap();
         let loaded = load_monitor(&path).unwrap();
         // Identical limits and identical scoring.
@@ -181,19 +122,19 @@ mod tests {
             monitor.controller_model().score(&obs).unwrap(),
             loaded.controller_model().score(&obs).unwrap()
         );
-        let _ = std::fs::remove_dir_all(tmp(""));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn bad_header_is_rejected() {
-        let path = tmp("garbage.tpb");
+        let path = tmp("header", "garbage.tpb");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, b"NOTAMODEL").unwrap();
         assert!(matches!(
             load_monitor(&path),
             Err(PersistenceError::BadHeader)
         ));
-        let _ = std::fs::remove_dir_all(tmp(""));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
@@ -202,7 +143,7 @@ mod tests {
         use crate::scenario::{Scenario, ScenarioKind};
         let s = Scenario::short(ScenarioKind::IntegrityXmv3, 0.02, 0.01, 11);
         let capture = capture_scenario(&s).unwrap();
-        let path = tmp("run.cap");
+        let path = tmp("capture", "run.cap");
         save_capture(&capture, &path).unwrap();
         let loaded = load_capture(&path).unwrap();
         assert_eq!(loaded.records, capture.records);
@@ -214,7 +155,7 @@ mod tests {
             load_monitor(&path),
             Err(PersistenceError::BadHeader)
         ));
-        let _ = std::fs::remove_dir_all(tmp(""));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]

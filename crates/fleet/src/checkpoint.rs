@@ -1,15 +1,15 @@
 //! Fleet checkpointing: periodic snapshots of completed plant records,
 //! so an interrupted campaign resumes instead of recomputing.
 //!
-//! Snapshots use the TPB format of [`temspc_persist`] behind a magic
-//! header, and are written atomically (temp file + rename) so a crash
-//! mid-write never leaves a torn checkpoint behind.
+//! Snapshots are framed TPB files ([`temspc_persist::save_framed`])
+//! behind their own magic, written atomically so a crash mid-write never
+//! leaves a torn checkpoint behind.
 
 use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use temspc_persist::PersistError;
+use temspc_persist::{FramedError, PersistError};
 
 use crate::engine::FleetConfig;
 use crate::report::PlantRecord;
@@ -65,15 +65,13 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl From<PersistError> for CheckpointError {
-    fn from(e: PersistError) -> Self {
-        CheckpointError::Format(e)
+impl From<FramedError> for CheckpointError {
+    fn from(e: FramedError) -> Self {
+        match e {
+            FramedError::Io(e) => CheckpointError::Io(e),
+            FramedError::Format(e) => CheckpointError::Format(e),
+            FramedError::BadHeader => CheckpointError::BadHeader,
+        }
     }
 }
 
@@ -83,16 +81,7 @@ impl From<PersistError> for CheckpointError {
 ///
 /// Returns [`CheckpointError`] on I/O or encoding failure.
 pub fn save(checkpoint: &FleetCheckpoint, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let path = path.as_ref();
-    let mut bytes = Vec::with_capacity(1024);
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&temspc_persist::to_bytes(checkpoint)?);
-    // The shared helper picks a unique sibling temp name (pid + counter),
-    // so two checkpoints sharing a file stem — or two concurrent
-    // campaigns in one directory — never clobber each other mid-save the
-    // way the old fixed `.tmp` extension did.
-    temspc_persist::write_atomic(path, &bytes)?;
-    Ok(())
+    Ok(temspc_persist::save_framed(path, MAGIC, None, checkpoint)?)
 }
 
 /// Loads a checkpoint saved with [`save`].
@@ -101,11 +90,7 @@ pub fn save(checkpoint: &FleetCheckpoint, path: impl AsRef<Path>) -> Result<(), 
 ///
 /// Returns [`CheckpointError`] on I/O, header or decoding failure.
 pub fn load(path: impl AsRef<Path>) -> Result<FleetCheckpoint, CheckpointError> {
-    let bytes = std::fs::read(path.as_ref())?;
-    let payload = bytes
-        .strip_prefix(MAGIC.as_slice())
-        .ok_or(CheckpointError::BadHeader)?;
-    Ok(temspc_persist::from_bytes(payload)?)
+    Ok(temspc_persist::load_framed(path, MAGIC)?)
 }
 
 /// Loads a checkpoint if `path` exists, validating it against `config`.

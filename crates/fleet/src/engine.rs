@@ -2,10 +2,10 @@
 //! closed loops scheduled over the worker pool, streaming outcomes into
 //! an aggregate report.
 //!
-//! Plants resolve their monitor either from one shared calibrated
+//! Plants resolve their monitor through [`Models`]: one fixed calibrated
 //! [`DualMspc`] ([`FleetEngine::new`]) or per-cohort from a sharded
 //! [`ModelStore`] ([`FleetEngine::with_store`]) — a single-cohort store
-//! reproduces the shared-monitor fleet bit-for-bit.
+//! reproduces the fixed-monitor fleet bit-for-bit.
 //!
 //! Every per-plant scenario is a pure function of the fleet
 //! configuration (`plant_scenario`), so the verdict set is identical for
@@ -20,9 +20,10 @@ use temspc::{DualMspc, Scenario, ScenarioKind, ScenarioOutcome};
 
 use crate::checkpoint::{self, CheckpointError, FleetCheckpoint};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::models::Models;
 use crate::pool::WorkerPool;
 use crate::report::{FleetReport, PlantRecord};
-use crate::store::{ModelStore, PlantKey, ResolvedModel};
+use crate::store::ModelStore;
 use crate::supervisor::{supervise, SupervisionPolicy};
 
 /// Where each plant's traffic comes from.
@@ -37,14 +38,6 @@ pub enum PlantSource {
     /// path is a `String` so the config stays serializable with the
     /// vendored serde.
     Replay(String),
-    /// Live wire ingestion: plants stream length-prefixed fieldbus
-    /// frames over TCP to this listen address and are scored at wire
-    /// rate. The socket front half lives in the `temspc-ingest` crate
-    /// (`temspc ingest serve`), which fans reassembled per-plant batches
-    /// into this engine's [`WorkerPool`] intake path; the pull-model
-    /// [`FleetEngine::run`] cannot drive it and reports plants under
-    /// this source as failed with a pointer to the server.
-    Socket(String),
 }
 
 /// Configuration of a fleet campaign.
@@ -76,7 +69,7 @@ pub struct FleetConfig {
     /// Calibration cohorts when monitoring through a [`ModelStore`]:
     /// plant `i` resolves the model of cohort `i % cohorts`. With 1 (the
     /// default) every plant shares one cohort, matching the
-    /// shared-monitor engine; ignored by [`FleetEngine::new`].
+    /// fixed-monitor engine; ignored by [`FleetEngine::new`].
     pub cohorts: usize,
 }
 
@@ -159,15 +152,8 @@ pub fn plant_scenario(config: &FleetConfig, plant: usize) -> Scenario {
 }
 
 /// The capture file plant `i` reads (replay) or writes (recording).
-fn capture_path(dir: &str, plant: usize) -> PathBuf {
-    Path::new(dir).join(format!("plant_{plant}.cap"))
-}
-
-/// The store key plant `i` resolves its model under: cohort
-/// `i % cohorts`. A pure function of the configuration, so the same
-/// plant always scores against the same calibration lineage.
-pub fn plant_key(config: &FleetConfig, plant: usize) -> PlantKey {
-    PlantKey::cohort(plant % config.cohorts.max(1))
+fn capture_path(dir: impl AsRef<Path>, plant: usize) -> PathBuf {
+    dir.as_ref().join(format!("plant_{plant}.cap"))
 }
 
 /// Rejects a capture recorded under a different scenario than the one
@@ -217,7 +203,7 @@ pub fn record_fleet_captures(
         let scenario = plant_scenario(config, plant);
         let capture = temspc::capture_scenario(&scenario)
             .map_err(|e| FleetError::Capture(format!("plant {plant}: {e}")))?;
-        let path = dir.join(format!("plant_{plant}.cap"));
+        let path = capture_path(dir, plant);
         temspc::persistence::save_capture(&capture, &path)
             .map_err(|e| FleetError::Capture(format!("{}: {e}", path.display())))?;
     }
@@ -358,41 +344,10 @@ impl FleetMetrics {
     }
 }
 
-/// Where plant monitors come from.
-enum Models<'a> {
-    /// One calibrated monitor shared by every plant.
-    Shared(&'a DualMspc),
-    /// Per-cohort monitors resolved through the sharded store.
-    Store(&'a ModelStore),
-}
-
-/// A plant's resolved monitor plus the generation that identifies it in
-/// checkpoints (0 = the shared monitor, which has no store lineage).
-enum ResolvedMonitor<'a> {
-    Shared(&'a DualMspc),
-    Stored(ResolvedModel),
-}
-
-impl ResolvedMonitor<'_> {
-    fn monitor(&self) -> &DualMspc {
-        match self {
-            ResolvedMonitor::Shared(m) => m,
-            ResolvedMonitor::Stored(r) => &r.model,
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            ResolvedMonitor::Shared(_) => 0,
-            ResolvedMonitor::Stored(r) => r.generation,
-        }
-    }
-}
-
 /// The concurrent multi-plant monitoring engine.
 ///
-/// Resolves each plant's calibrated monitor (shared or per-cohort from a
-/// [`ModelStore`]) and fans plant scenarios out over a [`WorkerPool`];
+/// Resolves each plant's calibrated monitor through its [`Models`] and
+/// fans plant scenarios out over a [`WorkerPool`];
 /// results stream back into an aggregate [`FleetReport`] and the
 /// engine's [`MetricsRegistry`].
 pub struct FleetEngine<'a> {
@@ -413,17 +368,9 @@ pub struct FleetEngine<'a> {
 }
 
 impl<'a> FleetEngine<'a> {
-    /// An engine over one shared calibrated monitor.
+    /// An engine over one fixed calibrated monitor.
     pub fn new(monitor: &'a DualMspc, config: FleetConfig) -> Self {
-        let pool = WorkerPool::new(config.threads);
-        FleetEngine {
-            models: Models::Shared(monitor),
-            config,
-            registry: MetricsRegistry::new(),
-            checkpoint_path: None,
-            pool,
-            cancel: None,
-        }
+        Self::with_models(Models::Fixed(monitor), config)
     }
 
     /// An engine resolving per-plant monitors through a sharded
@@ -433,9 +380,16 @@ impl<'a> FleetEngine<'a> {
     /// monitor's, the report reproduces [`FleetEngine::new`]
     /// bit-for-bit.
     pub fn with_store(store: &'a ModelStore, config: FleetConfig) -> Self {
+        let cohorts = config.cohorts;
+        Self::with_models(Models::Store { store, cohorts }, config)
+    }
+
+    /// An engine resolving each plant's monitor through `models`. For a
+    /// store, pass the `config.cohorts` the checkpoint records.
+    pub fn with_models(models: Models<'a>, config: FleetConfig) -> Self {
         let pool = WorkerPool::new(config.threads);
         FleetEngine {
-            models: Models::Store(store),
+            models,
             config,
             registry: MetricsRegistry::new(),
             checkpoint_path: None,
@@ -491,18 +445,9 @@ impl<'a> FleetEngine<'a> {
         &self.registry
     }
 
-    /// Resolves the monitor plant `plant` scores against.
-    fn resolve_monitor(&self, plant: usize) -> Result<ResolvedMonitor<'a>, String> {
-        match &self.models {
-            Models::Shared(monitor) => Ok(ResolvedMonitor::Shared(monitor)),
-            Models::Store(store) => {
-                let key = plant_key(&self.config, plant);
-                store
-                    .get(&key)
-                    .map(ResolvedMonitor::Stored)
-                    .map_err(|e| format!("model store key '{key}': {e}"))
-            }
-        }
+    /// Where the engine's plants resolve their monitors.
+    pub fn models(&self) -> &Models<'a> {
+        &self.models
     }
 
     /// Produces one plant's outcome from the configured source: a live
@@ -526,11 +471,6 @@ impl<'a> FleetEngine<'a> {
                     .score_capture(&capture)
                     .map_err(|e| format!("{}: {e}", path.display()))
             }
-            PlantSource::Socket(addr) => Err(format!(
-                "plant {plant} is sourced from live socket ingestion at {addr}; \
-                 run the push-model front half (`temspc ingest serve --addr {addr}`) \
-                 instead of the pull-model fleet engine"
-            )),
         }
     }
 
@@ -548,54 +488,35 @@ impl<'a> FleetEngine<'a> {
                     panic!("chaos: injected panic for plant {plant}");
                 }
             }
-            let resolved = self.resolve_monitor(plant)?;
-            let outcome = self.execute_plant(resolved.monitor(), plant, &scenario)?;
-            let verdict = diagnose(resolved.monitor(), &outcome, VerdictThresholds::default())
-                .map(|d| d.verdict);
+            let resolved = self.models.resolve(plant)?;
+            let outcome = self.execute_plant(&resolved, plant, &scenario)?;
+            let verdict =
+                diagnose(&resolved, &outcome, VerdictThresholds::default()).map(|d| d.verdict);
             Ok::<_, String>((outcome, verdict, resolved.generation()))
         });
-        let restarts = supervised.restarts;
-        let fault = supervised.panics.last().cloned();
-        match supervised.result {
-            Some(Ok((outcome, verdict, model_generation))) => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: true,
-                restarts,
-                fault,
-                detection_latency_hours: outcome.detection.run_length(scenario.onset_hour),
-                false_alarms: outcome.false_alarms as u32,
-                verdict,
-                shutdown_hour: outcome.run.shutdown.map(|(_, hour)| hour),
-                model_generation,
-            },
-            Some(Err(message)) => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: false,
-                restarts,
-                fault: Some(message),
-                detection_latency_hours: None,
-                false_alarms: 0,
-                verdict: None,
-                shutdown_hour: None,
-                model_generation: 0,
-            },
-            None => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: false,
-                restarts,
-                fault,
-                detection_latency_hours: None,
-                false_alarms: 0,
-                verdict: None,
-                shutdown_hour: None,
-                model_generation: 0,
-            },
+        let mut fault = supervised.panics.last().cloned();
+        let (outcome, verdict, model_generation) = match supervised.result {
+            Some(Ok((outcome, verdict, generation))) => (Some(outcome), verdict, generation),
+            Some(Err(message)) => {
+                fault = Some(message);
+                (None, None, 0)
+            }
+            None => (None, None, 0),
+        };
+        let outcome = outcome.as_ref();
+        PlantRecord {
+            plant: plant as u32,
+            kind: scenario.kind,
+            seed: scenario.seed,
+            completed: outcome.is_some(),
+            restarts: supervised.restarts,
+            fault,
+            detection_latency_hours: outcome
+                .and_then(|o| o.detection.run_length(scenario.onset_hour)),
+            false_alarms: outcome.map_or(0, |o| o.false_alarms as u32),
+            verdict,
+            shutdown_hour: outcome.and_then(|o| o.run.shutdown.map(|(_, hour)| hour)),
+            model_generation,
         }
     }
 
@@ -615,22 +536,16 @@ impl<'a> FleetEngine<'a> {
             Some(path) => checkpoint::resume(path, &self.config)?,
             None => Vec::new(),
         };
-        records.retain(|r| (r.plant as usize) < self.config.plants);
-        if let Models::Store(store) = &self.models {
-            // Resume consistency: only keep records scored by the model
-            // generation the store currently serves for their cohort.
-            // Records from an older generation (the key was re-calibrated
-            // since the checkpoint) and failed records (generation 0)
-            // re-run against the current model instead of mixing
-            // calibrations inside one report.
-            records.retain(|r| {
-                let key = plant_key(&self.config, r.plant as usize);
-                matches!(
-                    store.generation_on_disk(&key),
-                    Ok(Some(gen)) if gen == r.model_generation
-                )
-            });
-        }
+        // Resume consistency: only keep records scored by the model
+        // generation the store currently serves for their cohort. Records
+        // from an older generation (the key was re-calibrated since the
+        // checkpoint) and failed store records (generation 0) re-run
+        // against the current model instead of mixing calibrations inside
+        // one report.
+        records.retain(|r| {
+            let plant = r.plant as usize;
+            plant < self.config.plants && self.models.is_current(plant, r.model_generation)
+        });
         let done: std::collections::BTreeSet<u32> = records.iter().map(|r| r.plant).collect();
         let pending: Vec<usize> = (0..self.config.plants)
             .filter(|i| !done.contains(&(*i as u32)))
@@ -879,21 +794,6 @@ mod tests {
         assert_eq!(report.records.len(), 3);
         assert!(report.failed_plants().is_empty());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn socket_source_plants_fail_with_a_pointer_to_the_server() {
-        let monitor = quick_monitor();
-        let config = FleetConfig {
-            source: PlantSource::Socket("127.0.0.1:7450".into()),
-            ..quick_config(1, 1)
-        };
-        let report = FleetEngine::new(&monitor, config).run().unwrap();
-        assert!(!report.records[0].completed);
-        assert!(report.records[0]
-            .fault
-            .as_deref()
-            .is_some_and(|f| f.contains("temspc ingest serve")));
     }
 
     #[test]

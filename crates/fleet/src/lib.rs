@@ -48,6 +48,7 @@ pub mod calibrate;
 pub mod checkpoint;
 pub mod engine;
 pub mod metrics;
+pub mod models;
 pub mod pool;
 pub mod report;
 pub mod store;
@@ -58,10 +59,11 @@ pub use calibrate::{
 };
 pub use checkpoint::{CheckpointError, FleetCheckpoint};
 pub use engine::{
-    plant_key, plant_scenario, plant_seed, record_fleet_captures, FleetConfig, FleetEngine,
-    FleetError, PlantSource,
+    plant_scenario, plant_seed, record_fleet_captures, FleetConfig, FleetEngine, FleetError,
+    PlantSource,
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use models::{Models, Resolved};
 pub use pool::WorkerPool;
 pub use report::{FleetReport, Outcome, PlantRecord, Truth};
 pub use store::{ModelStore, PlantKey, ResolvedModel, StoreConfig, StoreError};

@@ -9,10 +9,10 @@
 //! a calibrated [`DualMspc`]:
 //!
 //! * **Persistence** — one `<key>.tpb` file per key under the store
-//!   directory, written through the shared atomic helper
-//!   ([`temspc_persist::write_atomic`]) behind the store's own magic
-//!   (`TESTORE`). The fixed 16-byte header carries a **generation**
-//!   counter so freshness checks read 16 bytes, not the whole model.
+//!   directory: a framed TPB file ([`temspc_persist::save_framed`])
+//!   behind the store's own magic (`TESTORE`). The fixed 16-byte header
+//!   carries a **generation** counter so freshness checks read 16
+//!   bytes, not the whole model.
 //! * **Bounded residency** — at most `capacity` models stay in memory;
 //!   the least-recently-used entry is evicted (its file remains). Hits,
 //!   misses, evictions and reloads feed the existing
@@ -31,13 +31,13 @@
 //! then hits the freshly inserted model.
 
 use std::collections::HashMap;
-use std::io::{self, Read as _};
+use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use temspc::{CalibrationConfig, DualMspc, MonitorConfig};
-use temspc_persist::PersistError;
+use temspc_persist::{FramedError, PersistError};
 
 use crate::calibrate::{self, CalibrateError};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
@@ -46,9 +46,6 @@ use crate::metrics::{Counter, Gauge, MetricsRegistry};
 /// monitor (`TEMSPC`), capture (`TECAP`) and checkpoint (`TEFLEET`)
 /// magics, so a store file can never be mistaken for any of them.
 const MAGIC: &[u8; 8] = b"TESTORE\x01";
-
-/// Fixed header: magic (8 bytes) + big-endian generation (8 bytes).
-const HEADER_LEN: usize = 16;
 
 /// A key identifying one calibration in the store: a plant id or a
 /// cohort of plants sharing normal-operation statistics.
@@ -181,9 +178,13 @@ impl From<io::Error> for StoreError {
     }
 }
 
-impl From<PersistError> for StoreError {
-    fn from(e: PersistError) -> Self {
-        StoreError::Format(e)
+impl From<FramedError> for StoreError {
+    fn from(e: FramedError) -> Self {
+        match e {
+            FramedError::Io(e) => StoreError::Io(e),
+            FramedError::Format(e) => StoreError::Format(e),
+            FramedError::BadHeader => StoreError::BadHeader,
+        }
     }
 }
 
@@ -248,15 +249,6 @@ pub struct ResolvedModel {
     /// Generation of the persisted entry this model came from (1 for a
     /// freshly calibrated key, bumped by every re-insert).
     pub generation: u64,
-}
-
-/// On-disk payload behind the fixed header. Owned on both sides because
-/// the vendored serde derive does not support generic types; the clone
-/// at save time is negligible next to the calibration that produced it.
-#[derive(Serialize, Deserialize)]
-struct StoredModel {
-    key: String,
-    monitor: DualMspc,
 }
 
 /// One resident cache entry.
@@ -374,49 +366,26 @@ impl ModelStore {
     /// Returns [`StoreError::BadHeader`] for a torn or foreign file,
     /// [`StoreError::Io`] for filesystem failures.
     pub fn generation_on_disk(&self, key: &PlantKey) -> Result<Option<u64>, StoreError> {
-        let path = self.path_of(key);
-        let mut file = match std::fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let mut header = [0u8; HEADER_LEN];
-        match file.read_exact(&mut header) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(StoreError::BadHeader)
-            }
-            Err(e) => return Err(e.into()),
-        }
-        if &header[..8] != MAGIC {
-            return Err(StoreError::BadHeader);
-        }
-        Ok(Some(u64::from_be_bytes(
-            header[8..].try_into().expect("header is 16 bytes"),
-        )))
+        not_found_as_none(temspc_persist::read_generation(self.path_of(key), MAGIC))
     }
 
     /// Loads `key`'s persisted model, or `None` when no file exists.
+    ///
+    /// The payload is `(key, monitor)`: the key a file was saved under
+    /// travels inside it, so a renamed file is caught as a mismatch.
     fn load_from_disk(&self, key: &PlantKey) -> Result<Option<(DualMspc, u64)>, StoreError> {
-        let path = self.path_of(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let loaded =
+            temspc_persist::load_framed_generation::<(String, DualMspc)>(self.path_of(key), MAGIC);
+        let Some((generation, (found, monitor))) = not_found_as_none(loaded)? else {
+            return Ok(None);
         };
-        if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
-            return Err(StoreError::BadHeader);
-        }
-        let generation =
-            u64::from_be_bytes(bytes[8..HEADER_LEN].try_into().expect("header is 16 bytes"));
-        let stored: StoredModel = temspc_persist::from_bytes(&bytes[HEADER_LEN..])?;
-        if stored.key != key.as_str() {
+        if found != key.as_str() {
             return Err(StoreError::KeyMismatch {
                 expected: key.as_str().to_string(),
-                found: stored.key,
+                found,
             });
         }
-        Ok(Some((stored.monitor, generation)))
+        Ok(Some((monitor, generation)))
     }
 
     /// Persists `model` for `key` at `generation`, atomically.
@@ -426,16 +395,13 @@ impl ModelStore {
         model: &DualMspc,
         generation: u64,
     ) -> Result<(), StoreError> {
-        let payload = temspc_persist::to_bytes(&StoredModel {
-            key: key.as_str().to_string(),
-            monitor: model.clone(),
-        })?;
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&generation.to_be_bytes());
-        bytes.extend_from_slice(&payload);
-        temspc_persist::write_atomic(self.path_of(key), &bytes)?;
-        Ok(())
+        let entry = (key.as_str(), model);
+        Ok(temspc_persist::save_framed(
+            self.path_of(key),
+            MAGIC,
+            Some(generation),
+            &entry,
+        )?)
     }
 
     /// Caches `(model, generation)` under `key`, evicting the LRU entry
@@ -622,6 +588,15 @@ impl ModelStore {
         }
         keys.sort();
         Ok(keys)
+    }
+}
+
+/// Maps a missing store file to `None`, keeping every other outcome.
+fn not_found_as_none<T>(result: Result<T, FramedError>) -> Result<Option<T>, StoreError> {
+    match result {
+        Ok(value) => Ok(Some(value)),
+        Err(FramedError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 

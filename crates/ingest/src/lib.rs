@@ -37,7 +37,7 @@ pub use drive::{drive, DriveConfig, DriveError, DriveReport};
 pub use poller::Polling;
 pub use server::{
     detection_digest, load_report, save_report, ConnectionReport, IngestConfig, IngestReport,
-    IngestServer, ModelSource,
+    IngestServer,
 };
 pub use shutdown::{install_handlers, stop_flag};
 pub use stream::{

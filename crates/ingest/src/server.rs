@@ -23,7 +23,7 @@
 //!   [`StreamScorer`] — the exact scoring path `score_capture` and
 //!   `run_scenario` use — so a detection served off the wire equals the
 //!   offline replay of the same tape, digest for digest.
-//! * **Per-plant models**: with a store-backed [`ModelSource`], each
+//! * **Per-plant models**: with store-backed [`Models`], each
 //!   connection resolves its cohort's monitor through the sharded
 //!   [`ModelStore`] on handshake (LRU residency, calibrate-on-miss, hot
 //!   reload on generation bump), so no plant is scored against another
@@ -54,9 +54,10 @@ use temspc::persistence::PersistenceError;
 use temspc::{AnomalousEvent, DualMspc, ScenarioKind, ScenarioOutcome, StreamScorer, Verdict};
 use temspc_fieldbus::{CaptureRecord, ReplayLink, ReplayStep, TapPoint};
 use temspc_fleet::{
-    Counter, FleetReport, Gauge, Histogram, MetricsRegistry, ModelStore, PlantKey, PlantRecord,
-    WorkerPool,
+    Counter, FleetReport, Gauge, Histogram, MetricsRegistry, ModelStore, Models, PlantKey,
+    PlantRecord, Resolved, ResolvedModel, WorkerPool,
 };
+use temspc_persist::{load_framed, save_framed};
 
 use crate::poller::{Poller, Polling};
 use crate::stream::{Hello, StreamEvent, StreamParser};
@@ -191,11 +192,7 @@ impl IngestReport {
 ///
 /// Returns [`PersistenceError`] on I/O or encoding failures.
 pub fn save_report(report: &IngestReport, path: impl AsRef<Path>) -> Result<(), PersistenceError> {
-    let mut bytes = Vec::with_capacity(1024);
-    bytes.extend_from_slice(REPORT_MAGIC);
-    bytes.extend_from_slice(&temspc_persist::to_bytes(report)?);
-    temspc_persist::write_atomic(path.as_ref(), &bytes)?;
-    Ok(())
+    save_framed(path, REPORT_MAGIC, None, report)
 }
 
 /// Loads a report saved with [`save_report`].
@@ -204,11 +201,7 @@ pub fn save_report(report: &IngestReport, path: impl AsRef<Path>) -> Result<(), 
 ///
 /// Returns [`PersistenceError`] on I/O, header or decoding failures.
 pub fn load_report(path: impl AsRef<Path>) -> Result<IngestReport, PersistenceError> {
-    let bytes = std::fs::read(path.as_ref())?;
-    let payload = bytes
-        .strip_prefix(REPORT_MAGIC.as_slice())
-        .ok_or(PersistenceError::BadHeader)?;
-    Ok(temspc_persist::from_bytes(payload)?)
+    load_framed(path, REPORT_MAGIC)
 }
 
 /// A stable 64-bit digest over a scored outcome's detection-relevant
@@ -301,25 +294,6 @@ impl IngestMetrics {
     }
 }
 
-/// Where the server's per-connection monitors come from.
-pub enum ModelSource<'m> {
-    /// Every connection scores against one shared monitor — the
-    /// pre-store path; reports carry `model_generation` 0.
-    Shared(&'m DualMspc),
-    /// Each connection resolves its cohort's monitor through the
-    /// sharded store at handshake: `PlantKey::cohort(plant % cohorts)`,
-    /// with the store's LRU residency, calibrate-on-miss and hot reload
-    /// on generation bump. The resolved generation is pinned for the
-    /// connection's lifetime and recorded in its report.
-    Store {
-        /// The sharded per-plant model store.
-        store: &'m ModelStore,
-        /// Cohort count for the plant → key mapping (clamped to ≥ 1;
-        /// must match the fleet's `--cohorts` for digests to line up).
-        cohorts: usize,
-    },
-}
-
 /// Pins every store-resolved monitor in memory for the lifetime of one
 /// serving session, handing out plain `&DualMspc` borrows the scorers
 /// can hold across intake iterations.
@@ -336,38 +310,33 @@ struct ModelPin {
 }
 
 impl ModelPin {
-    /// Resolves `key` through `store` (hot-reload aware) and returns a
-    /// pinned borrow of the model plus the generation that produced it.
-    fn resolve<'p>(
-        &'p self,
-        store: &ModelStore,
-        key: &PlantKey,
-    ) -> Result<(&'p DualMspc, u64), String> {
-        let resolved = store
-            .get(key)
-            .map_err(|e| format!("model store resolution for '{}' failed: {e}", key.as_str()))?;
+    /// A borrow of `resolved`'s monitor that lives as long as the arena:
+    /// a fixed model already does; a store entry is pinned first, once
+    /// per `(key, generation)`.
+    fn pin<'p>(&'p self, resolved: Resolved<'p>) -> &'p DualMspc {
+        let (key, ResolvedModel { model, generation }) = match resolved {
+            Resolved::Fixed(monitor) => return monitor,
+            Resolved::Stored { key, entry } => (key, entry),
+        };
         let mut pinned = lock(&self.pinned);
-        if !pinned
+        let model = match pinned
             .iter()
-            .any(|(k, g, _)| k == key && *g == resolved.generation)
+            .find(|(k, g, _)| *k == key && *g == generation)
         {
-            pinned.push((
-                key.clone(),
-                resolved.generation,
-                Arc::clone(&resolved.model),
-            ));
-        }
-        let (_, _, arc) = pinned
-            .iter()
-            .find(|(k, g, _)| k == key && *g == resolved.generation)
-            .expect("just ensured");
+            Some((_, _, held)) => Arc::as_ptr(held),
+            None => {
+                let ptr = Arc::as_ptr(&model);
+                pinned.push((key, generation, model));
+                ptr
+            }
+        };
         // SAFETY: the arena is append-only — entries are never removed
         // while `self` is borrowed — and an `Arc`'s pointee is heap-
         // allocated and address-stable, so the pointer stays valid for
         // the arena's borrow lifetime even though the Vec holding the
         // `Arc` handles may reallocate. The arena outlives every scorer
         // (it is dropped only after the intake thread joins).
-        Ok((unsafe { &*Arc::as_ptr(arc) }, resolved.generation))
+        unsafe { &*model }
     }
 }
 
@@ -479,7 +448,7 @@ impl IntakeQueue {
 /// The ingestion server. Bind once, then [`IngestServer::run`] the
 /// serving session; metrics accumulate in [`IngestServer::metrics`].
 pub struct IngestServer<'m> {
-    source: ModelSource<'m>,
+    models: Models<'m>,
     config: IngestConfig,
     listener: TcpListener,
     registry: MetricsRegistry,
@@ -494,12 +463,12 @@ impl<'m> IngestServer<'m> {
     ///
     /// Propagates socket binding failure.
     pub fn bind(monitor: &'m DualMspc, config: IngestConfig) -> io::Result<Self> {
-        Self::bind_source(ModelSource::Shared(monitor), config)
+        Self::bind_models(Models::Fixed(monitor), config)
     }
 
     /// Binds the listen socket and spawns the scoring pool, resolving
     /// each connection's monitor per cohort through `store` (see
-    /// [`ModelSource::Store`]).
+    /// [`Models::Store`]).
     ///
     /// # Errors
     ///
@@ -509,20 +478,21 @@ impl<'m> IngestServer<'m> {
         cohorts: usize,
         config: IngestConfig,
     ) -> io::Result<Self> {
-        Self::bind_source(
-            ModelSource::Store {
-                store,
-                cohorts: cohorts.max(1),
-            },
-            config,
-        )
+        Self::bind_models(Models::Store { store, cohorts }, config)
     }
 
-    fn bind_source(source: ModelSource<'m>, config: IngestConfig) -> io::Result<Self> {
+    /// Binds the listen socket and spawns the scoring pool, resolving
+    /// each connection's monitor through `models` once, at its first
+    /// batch after the handshake.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket binding failure.
+    pub fn bind_models(models: Models<'m>, config: IngestConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let pool = WorkerPool::new(config.threads);
         Ok(IngestServer {
-            source,
+            models,
             config,
             listener,
             registry: MetricsRegistry::new(),
@@ -549,6 +519,11 @@ impl<'m> IngestServer<'m> {
         &self.config
     }
 
+    /// Where the server's connections resolve their monitors.
+    pub fn models(&self) -> &Models<'m> {
+        &self.models
+    }
+
     /// Serves until the stop flag is raised (or `expect` connections
     /// have been fully scored), then drains all in-flight batches and
     /// returns the session report.
@@ -573,7 +548,7 @@ impl<'m> IngestServer<'m> {
         let loop_result = std::thread::scope(|scope| {
             let intake_thread = scope.spawn(|| {
                 intake_loop(
-                    &self.source,
+                    &self.models,
                     &pin,
                     incidents.as_ref(),
                     &self.pool,
@@ -970,26 +945,6 @@ fn drain_parser<P: Polling>(
 /// taken (`Option`) by whichever pool worker claims the slot.
 type BatchJob<'m> = Mutex<Option<(StreamScorer<'m>, Vec<ReplayStep>)>>;
 
-/// Resolves the monitor one connection scores against: the shared
-/// monitor (generation 0), or the plant's cohort model pinned out of
-/// the store. Resolution happens exactly once per connection — at the
-/// first batch after its handshake — so an in-flight stream keeps its
-/// generation across a mid-session hot reload while the next connection
-/// picks the bumped one up.
-fn resolve_monitor<'p>(
-    source: &'p ModelSource<'p>,
-    pin: &'p ModelPin,
-    plant: u32,
-) -> Result<(&'p DualMspc, u64), String> {
-    match source {
-        ModelSource::Shared(monitor) => Ok((monitor, 0)),
-        ModelSource::Store { store, cohorts } => {
-            let key = PlantKey::cohort(plant as usize % (*cohorts).max(1));
-            pin.resolve(store, &key)
-        }
-    }
-}
-
 /// Emits one `event=detection` line per detection that surfaced on a
 /// level since the last emission, advancing the per-level cursor.
 fn emit_new_detections(
@@ -1012,7 +967,7 @@ fn emit_new_detections(
 
 #[allow(clippy::too_many_arguments)]
 fn intake_loop<'p>(
-    source: &'p ModelSource<'p>,
+    models: &Models<'p>,
     pin: &'p ModelPin,
     incidents: Option<&IncidentSink>,
     pool: &WorkerPool,
@@ -1087,11 +1042,16 @@ fn intake_loop<'p>(
                     .map(|h| (h.plant, h.scenario.onset_hour));
                 match hello {
                     Some((plant, onset)) => {
-                        match resolve_monitor(source, pin, plant) {
-                            Ok((monitor, generation)) => {
+                        // Resolution happens exactly once per connection,
+                        // so an in-flight stream keeps its generation
+                        // across a mid-session hot reload while the next
+                        // connection picks the bumped one up.
+                        match models.resolve(plant as usize) {
+                            Ok(resolved) => {
+                                entry.generation = resolved.generation();
+                                let monitor = pin.pin(resolved);
                                 entry.plant = plant;
                                 entry.monitor = Some(monitor);
-                                entry.generation = generation;
                                 entry.scorer = Some(monitor.stream_scorer(onset));
                             }
                             Err(fault) => {

@@ -40,11 +40,13 @@
 mod atomic;
 mod de;
 mod error;
+mod framed;
 mod ser;
 
 pub use atomic::write_atomic;
 pub use de::{from_bytes, Deserializer};
 pub use error::PersistError;
+pub use framed::{load_framed, load_framed_generation, read_generation, save_framed, FramedError};
 pub use ser::{to_bytes, Serializer};
 
 /// Type tags of the wire format.

@@ -20,7 +20,7 @@ pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, PersistError> {
 /// A serde serializer writing the TPB format into an in-memory buffer.
 #[derive(Debug, Default)]
 pub struct Serializer {
-    out: Vec<u8>,
+    pub(crate) out: Vec<u8>,
 }
 
 impl Serializer {

@@ -21,9 +21,14 @@ fn monitor() -> DualMspc {
     .unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
+/// A per-test scratch path (test name + pid), so parallel tests and
+/// concurrent test runs never remove a directory another still reads.
+fn tmp(test: &str, name: &str) -> std::path::PathBuf {
     std::env::temp_dir()
-        .join("temspc_capture_replay_test")
+        .join(format!(
+            "temspc_capture_replay_{test}_{}",
+            std::process::id()
+        ))
         .join(name)
 }
 
@@ -107,7 +112,7 @@ fn capture_file_roundtrip_preserves_scoring() {
     let capture = capture_scenario(&scenario).unwrap();
     let direct = monitor.score_capture(&capture).unwrap();
 
-    let path = tmp("roundtrip.cap");
+    let path = tmp("roundtrip", "roundtrip.cap");
     save_capture(&capture, &path).unwrap();
     let loaded = load_capture(&path).unwrap();
     assert_eq!(loaded.records, capture.records);
@@ -122,7 +127,7 @@ fn capture_file_roundtrip_preserves_scoring() {
         direct.event_rows_controller,
         from_disk.event_rows_controller
     );
-    let _ = std::fs::remove_dir_all(tmp(""));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 /// Network-level scoring of a replayed DoS tape matches the live run:

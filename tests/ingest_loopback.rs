@@ -1,14 +1,132 @@
 //! End-to-end lock on the ingestion server: traffic served over real
 //! loopback sockets must score bit-identically to an offline replay of
 //! the same tapes, with zero drops, across many concurrent connections.
+//!
+//! Every test serves through [`session`], which bounds it in wall-clock
+//! time and stops the server when the client side panics, so a failure
+//! fails the test instead of hanging the suite. Each test writes into a
+//! directory of its own, and waits on state the server or store exposes
+//! (metrics, a file's generation header) instead of fixed sleeps.
 
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use temspc::{capture_scenario, CalibrationConfig, DualMspc, Scenario, ScenarioKind};
 use temspc_fleet::{ModelStore, PlantKey, StoreConfig};
 use temspc_ingest::{
-    detection_digest, drive, load_report, save_report, DriveConfig, IngestConfig, IngestServer,
+    detection_digest, drive, load_report, save_report, DriveConfig, IngestConfig, IngestReport,
+    IngestServer,
 };
+
+/// Wall-clock bound on one serving session. Past it the watchdog raises
+/// the server's stop flag, so the drain ends the session and the test
+/// fails on the timeout.
+const SESSION_LIMIT: Duration = Duration::from_secs(180);
+
+/// Extra time a stopped session gets to wind down before the watchdog
+/// aborts the test process, for a client blocked where stopping the
+/// server cannot reach it.
+const ABORT_GRACE: Duration = Duration::from_secs(60);
+
+/// Bound on each wait for observable server or store state.
+const WAIT_LIMIT: Duration = Duration::from_secs(60);
+
+/// Raises a flag when dropped: always, or only while unwinding.
+struct RaiseOnDrop<'a> {
+    flag: &'a AtomicBool,
+    only_on_panic: bool,
+}
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        if !self.only_on_panic || std::thread::panicking() {
+            self.flag.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Serves `server` on a scoped thread while `client` drives it from this
+/// one, and returns the session report with the client's result (return
+/// a socket to keep it open until the server has finished).
+///
+/// A panic in `client` raises the stop flag, so the scope's join of the
+/// server does not wait for peers that will never come. A watchdog
+/// raises it after [`SESSION_LIMIT`], fails the test, and aborts the
+/// process if the session still has not ended after [`ABORT_GRACE`].
+fn session<T>(
+    server: &IngestServer<'_>,
+    client: impl FnOnce(SocketAddr, &AtomicBool) -> T,
+) -> (IngestReport, T) {
+    let addr = server.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    let served = AtomicBool::new(false);
+    let client_done = AtomicBool::new(false);
+    let timed_out = AtomicBool::new(false);
+    let out = std::thread::scope(|scope| {
+        let serve = scope.spawn(|| {
+            let _served = RaiseOnDrop {
+                flag: &served,
+                only_on_panic: false,
+            };
+            server.run(&stop)
+        });
+        scope.spawn(|| {
+            let start = Instant::now();
+            while !(served.load(Ordering::SeqCst) && client_done.load(Ordering::SeqCst)) {
+                let elapsed = start.elapsed();
+                if elapsed >= SESSION_LIMIT + ABORT_GRACE {
+                    eprintln!("loopback session did not end after being stopped; aborting");
+                    std::process::abort();
+                }
+                if elapsed >= SESSION_LIMIT && !timed_out.swap(true, Ordering::SeqCst) {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let _client_done = RaiseOnDrop {
+            flag: &client_done,
+            only_on_panic: false,
+        };
+        let _stop_on_panic = RaiseOnDrop {
+            flag: &stop,
+            only_on_panic: true,
+        };
+        let out = client(addr, &stop);
+        let report = serve.join().expect("server thread panicked").unwrap();
+        (report, out)
+    });
+    assert!(
+        !timed_out.load(Ordering::SeqCst),
+        "loopback session exceeded {SESSION_LIMIT:?}; the watchdog stopped the server"
+    );
+    out
+}
+
+/// Polls `ready` until it holds, failing the test after [`WAIT_LIMIT`].
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(
+            start.elapsed() < WAIT_LIMIT,
+            "timed out after {WAIT_LIMIT:?} waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The current value of metric `name` in the server's exposition (0
+/// before it is registered).
+fn metric(server: &IngestServer<'_>, name: &str) -> f64 {
+    server
+        .metrics()
+        .expose()
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
+}
 
 fn monitor() -> DualMspc {
     DualMspc::calibrate(&CalibrationConfig {
@@ -21,10 +139,14 @@ fn monitor() -> DualMspc {
     .unwrap()
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("temspc_ingest_loopback_test");
+/// A per-test scratch directory (test name + pid): tests run in
+/// parallel, and a shared directory would be removed under a sibling
+/// still reading from it.
+fn test_root(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("temspc_loopback_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    dir
 }
 
 const KINDS: [ScenarioKind; 5] = [
@@ -40,6 +162,7 @@ const KINDS: [ScenarioKind; 5] = [
 /// false alarms, verdict) to `score_capture` of the same tape.
 #[test]
 fn sixty_four_connections_score_bit_identically_to_offline_replay() {
+    let root = test_root("sixty_four");
     let monitor = monitor();
 
     // One tape per scenario kind; 64 connections cycle through them.
@@ -49,7 +172,7 @@ fn sixty_four_connections_score_bit_identically_to_offline_replay() {
         let scenario = Scenario::short(*kind, 0.3, 0.1, 42 + i as u64);
         let capture = capture_scenario(&scenario).unwrap();
         let outcome = monitor.score_capture(&capture).unwrap();
-        let path = tmp(&format!("tape_{i}.cap"));
+        let path = root.join(format!("tape_{i}.cap"));
         temspc::persistence::save_capture(&capture, &path).unwrap();
         offline.push((capture.steps() as u64, outcome));
         tapes.push(path);
@@ -69,13 +192,10 @@ fn sixty_four_connections_score_bit_identically_to_offline_replay() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
+    let (report, ()) = session(&server, |addr, _| {
         let driven = drive(&DriveConfig {
-            addr,
+            addr: addr.to_string(),
             tapes: tapes.clone(),
             connections,
             rate: 0.0, // flood: the server must absorb wire rate
@@ -83,7 +203,6 @@ fn sixty_four_connections_score_bit_identically_to_offline_replay() {
         })
         .unwrap();
         assert_eq!(driven.connections, connections);
-        serve.join().expect("server thread panicked").unwrap()
     });
 
     assert_eq!(report.drops, 0, "backpressure must prevent drops");
@@ -121,7 +240,7 @@ fn sixty_four_connections_score_bit_identically_to_offline_replay() {
     }
 
     // The report survives its persistence round trip.
-    let path = tmp("session.tpb");
+    let path = root.join("session.tpb");
     save_report(&report, &path).unwrap();
     assert_eq!(load_report(&path).unwrap(), report);
 
@@ -129,18 +248,19 @@ fn sixty_four_connections_score_bit_identically_to_offline_replay() {
     let fleet = report.fleet_report();
     assert_eq!(fleet.records.len(), connections);
 
-    let _ = std::fs::remove_dir_all(tmp(""));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Torn writes: tiny 7-byte socket writes tear every message across
 /// many segments, and the served result is still bit-identical.
 #[test]
 fn torn_writes_still_score_bit_identically() {
+    let root = test_root("torn");
     let monitor = monitor();
     let scenario = Scenario::short(ScenarioKind::IntegrityXmeas1, 0.2, 0.05, 7);
     let capture = capture_scenario(&scenario).unwrap();
     let outcome = monitor.score_capture(&capture).unwrap();
-    let path = tmp("torn.cap");
+    let path = root.join("torn.cap");
     temspc::persistence::save_capture(&capture, &path).unwrap();
 
     let connections = 8;
@@ -152,20 +272,16 @@ fn torn_writes_still_score_bit_identically() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
+    let (report, _) = session(&server, |addr, _| {
         drive(&DriveConfig {
-            addr,
+            addr: addr.to_string(),
             tapes: vec![path],
             connections,
             rate: 0.0,
             chunk: 7,
         })
-        .unwrap();
-        serve.join().expect("server thread panicked").unwrap()
+        .unwrap()
     });
 
     assert_eq!(report.drops, 0);
@@ -175,7 +291,7 @@ fn torn_writes_still_score_bit_identically() {
         assert!(conn.completed, "plant {}: {:?}", conn.plant, conn.fault);
         assert_eq!(conn.digest, detection_digest(&outcome));
     }
-    let _ = std::fs::remove_dir_all(tmp(""));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Graceful shutdown: raising the stop flag mid-stream drains what was
@@ -185,17 +301,15 @@ fn torn_writes_still_score_bit_identically() {
 fn stop_flag_drains_in_flight_streams_and_reports_them() {
     use std::io::Write;
 
+    let root = test_root("stop_flag");
     let monitor = monitor();
     let scenario = Scenario::short(ScenarioKind::Normal, 0.2, 0.05, 11);
     let capture = capture_scenario(&scenario).unwrap();
+    let half_steps = (capture.records.len() / 2 / 4) as f64;
 
     let server = IngestServer::bind(&monitor, IngestConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
-
+    let (report, _socket) = session(&server, |addr, stop| {
         // Stream a handshake and half the tape, then keep the socket
         // open (no FIN): an in-flight connection.
         let mut socket = std::net::TcpStream::connect(addr).unwrap();
@@ -206,13 +320,13 @@ fn stop_flag_drains_in_flight_streams_and_reports_them() {
         socket.write_all(&bytes).unwrap();
         socket.flush().unwrap();
 
-        // Give the event loop time to ingest, then request shutdown the
-        // way the signal handler would.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        // Wait until the event loop has reassembled the half tape, then
+        // request shutdown the way the signal handler would.
+        wait_until("the half tape to be reassembled", || {
+            metric(&server, "ingest_steps_total") >= half_steps
+        });
         stop.store(true, Ordering::SeqCst);
-        let report = serve.join().expect("server thread panicked").unwrap();
-        drop(socket);
-        report
+        socket
     });
 
     assert_eq!(report.drops, 0);
@@ -231,19 +345,10 @@ fn stop_flag_drains_in_flight_streams_and_reports_them() {
     // The queued half-tape was drained and scored, not thrown away.
     assert_eq!(conn.steps, (capture.records.len() / 2 / 4) as u64);
 
-    let path = tmp("interrupted.tpb");
+    let path = root.join("interrupted.tpb");
     save_report(&report, &path).unwrap();
     assert_eq!(load_report(&path).unwrap(), report);
-    let _ = std::fs::remove_dir_all(tmp(""));
-}
-
-/// A per-test scratch directory, isolated from the shared `tmp()` root
-/// so store-backed tests never race the older tests' final cleanup.
-fn test_root(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("temspc_loopback_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The cheap calibration the store-path tests share: small enough to
@@ -282,20 +387,17 @@ fn serve_and_drive(
             IngestServer::bind_with_store(store, cohorts, config).unwrap()
         }
     };
-    let addr = server.local_addr().unwrap().to_string();
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
+    let (report, _) = session(&server, |addr, _| {
         drive(&DriveConfig {
-            addr,
+            addr: addr.to_string(),
             tapes: tapes.to_vec(),
             connections,
             rate: 0.0,
             chunk: 0,
         })
-        .unwrap();
-        serve.join().expect("server thread panicked").unwrap()
-    })
+        .unwrap()
+    });
+    report
 }
 
 /// Golden digest: a single-cohort store whose cohort_0 calibration
@@ -405,12 +507,8 @@ fn refused_connections_do_not_count_as_registered() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
-
+    let (report, ()) = session(&server, |addr, _| {
         // Occupy the single slot: handshake plus half the tape, held open.
         let mut first = std::net::TcpStream::connect(addr).unwrap();
         let mut bytes = temspc_ingest::encode_hello(2, &capture.scenario).to_vec();
@@ -420,7 +518,9 @@ fn refused_connections_do_not_count_as_registered() {
         }
         first.write_all(&bytes).unwrap();
         first.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        wait_until("the first connection to take the slot", || {
+            metric(&server, "ingest_connections_total") >= 1.0
+        });
 
         // Over the cap: the server sheds this socket immediately.
         let mut refused = std::net::TcpStream::connect(addr).unwrap();
@@ -437,8 +537,6 @@ fn refused_connections_do_not_count_as_registered() {
             temspc_ingest::encode_record(record, &mut rest);
         }
         first.write_all(&rest).unwrap();
-        drop(first);
-        serve.join().expect("server thread panicked").unwrap()
     });
 
     assert_eq!(report.connections.len(), 1);
@@ -472,12 +570,8 @@ fn duplicate_plant_claim_faults_the_second_connection() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
-
+    let (report, _second) = session(&server, |addr, _| {
         // The rightful owner of plant 7: handshake plus half the tape.
         let mut first = std::net::TcpStream::connect(addr).unwrap();
         let mut bytes = temspc_ingest::encode_hello(7, &capture.scenario).to_vec();
@@ -487,7 +581,9 @@ fn duplicate_plant_claim_faults_the_second_connection() {
         }
         first.write_all(&bytes).unwrap();
         first.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        wait_until("the owner's half tape to be reassembled", || {
+            metric(&server, "ingest_steps_total") >= (half / 4) as f64
+        });
 
         // A second claimant of the same plant id: faulted, not scored.
         let mut second = std::net::TcpStream::connect(addr).unwrap();
@@ -495,7 +591,9 @@ fn duplicate_plant_claim_faults_the_second_connection() {
             .write_all(&temspc_ingest::encode_hello(7, &capture.scenario))
             .unwrap();
         second.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        wait_until("the second claimant to be faulted", || {
+            metric(&server, "ingest_reassembly_errors_total") >= 1.0
+        });
 
         // The owner finishes cleanly despite the squatter.
         let mut rest = Vec::new();
@@ -504,9 +602,7 @@ fn duplicate_plant_claim_faults_the_second_connection() {
         }
         first.write_all(&rest).unwrap();
         drop(first);
-        let report = serve.join().expect("server thread panicked").unwrap();
-        drop(second);
-        report
+        second
     });
 
     assert_eq!(report.connections.len(), 2);
@@ -568,16 +664,12 @@ fn hot_reload_swaps_models_for_new_connections_only() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
 
     // A second handle on the same directory plays the operator pushing a
     // recalibrated model mid-session.
     let writer = ModelStore::new(StoreConfig::new(root.join("store"), quick_calibration(100)));
 
-    let report = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| server.run(&stop));
-
+    let (report, ()) = session(&server, |addr, _| {
         // In-flight connection: pins generation 1 at its first batch.
         let mut inflight = std::net::TcpStream::connect(addr).unwrap();
         let mut bytes = temspc_ingest::encode_hello(0, &capture.scenario).to_vec();
@@ -587,7 +679,12 @@ fn hot_reload_swaps_models_for_new_connections_only() {
         }
         inflight.write_all(&bytes).unwrap();
         inflight.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(400));
+        // The first batch's resolution calibrates on miss and persists
+        // generation 1; the in-flight stream has pinned it once the file
+        // exists.
+        wait_until("calibrate-on-miss to persist generation 1", || {
+            matches!(writer.generation_on_disk(&PlantKey::cohort(0)), Ok(Some(1)))
+        });
 
         // Generation bump on disk while plant 0 is still streaming.
         let inserted = writer.insert(&PlantKey::cohort(0), replacement).unwrap();
@@ -601,7 +698,12 @@ fn hot_reload_swaps_models_for_new_connections_only() {
         }
         second.write_all(&bytes).unwrap();
         drop(second);
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        wait_until("the fresh connection to hot-reload generation 2", || {
+            store
+                .metrics()
+                .expose()
+                .contains("model_store_reloads_total 1")
+        });
 
         // The in-flight stream finishes on its pinned model.
         let mut rest = Vec::new();
@@ -609,8 +711,6 @@ fn hot_reload_swaps_models_for_new_connections_only() {
             temspc_ingest::encode_record(record, &mut rest);
         }
         inflight.write_all(&rest).unwrap();
-        drop(inflight);
-        serve.join().expect("server thread panicked").unwrap()
     });
 
     assert_eq!(report.connections.len(), 2);
